@@ -50,19 +50,19 @@ import (
 )
 
 type config struct {
-	addr     string
-	circuits []string
-	inject   int
-	seed     int64
-	tests    int
-	k        int
-	shards   []int    // each request draws one uniformly
-	engines  []string // each request draws one uniformly ("" = bsat)
-	enums    []string // enumeration-mode mix; each request draws one
-	n        int
-	clients  int
-	zipf     float64
-	coldFrac float64
+	addr        string
+	circuits    []string
+	inject      int
+	seed        int64
+	tests       int
+	k           int
+	shards      []int    // each request draws one uniformly
+	engines     []string // each request draws one uniformly ("" = bsat)
+	enums       []string // enumeration-mode mix; each request draws one
+	n           int
+	clients     int
+	zipf        float64
+	coldFrac    float64
 	reps        int
 	minSpeed    float64
 	traceSample int
@@ -71,29 +71,27 @@ type config struct {
 
 func main() {
 	var (
-		addr      = flag.String("addr", "http://localhost:8344", "diagserver base URL")
-		circuits  = flag.String("circuits", "s298x,s400x,s526x", "comma-separated suite circuits")
-		inject    = flag.Int("inject", 1, "errors injected per circuit")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		tests     = flag.Int("tests", 8, "failing tests per workload")
-		k         = flag.Int("k", 0, "correction size limit (0 = number of injected errors)")
-		shards    = flag.String("shards", "1", "comma-separated shard counts; each request draws one")
-		engines   = flag.String("engines", "bsat", "comma-separated engine mix; each request draws one")
-		enums     = flag.String("enums", "legacy,projected", "comma-separated enumeration-mode mix; each request draws one")
-		n         = flag.Int("n", 50, "total requests")
-		clients   = flag.Int("c", 4, "concurrent clients")
-		zipf      = flag.Float64("zipf", 1.2, "circuit popularity skew (<=1 = uniform)")
-		coldFrac  = flag.Float64("cold-frac", 0, "fraction of requests forced cold (pool bypass)")
-		reps      = flag.Int("reps", 3, "repetitions per stage in -compare")
-		minSpeed  = flag.Float64("min-speedup", 0, "-compare exits non-zero when warm speedup is below this")
-		smoke     = flag.Bool("smoke", false, "cold+warm smoke: assert the warm request hits the pool")
-		compare   = flag.Bool("compare", false, "measure cold vs warm vs incremental latency")
-		chaos     = flag.Bool("chaos", false, "fault-tolerance gate against a failpoint-armed server")
-		portfolio = flag.Bool("portfolio", false,
-			"portfolio smoke against a diagserver -portfolio: assert raced and pinned solutions are identical")
-		restart = flag.String("restart", "",
+		addr     = flag.String("addr", "http://localhost:8344", "diagserver base URL")
+		circuits = flag.String("circuits", "s298x,s400x,s526x", "comma-separated suite circuits")
+		inject   = flag.Int("inject", 1, "errors injected per circuit")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		tests    = flag.Int("tests", 8, "failing tests per workload")
+		k        = flag.Int("k", 0, "correction size limit (0 = number of injected errors)")
+		shards   = flag.String("shards", "1", "comma-separated shard counts; each request draws one")
+		engines  = flag.String("engines", "bsat", "comma-separated engine mix; each request draws one")
+		enums    = flag.String("enums", "legacy,projected", "comma-separated enumeration-mode mix; each request draws one")
+		n        = flag.Int("n", 50, "total requests")
+		clients  = flag.Int("c", 4, "concurrent clients")
+		zipf     = flag.Float64("zipf", 1.2, "circuit popularity skew (<=1 = uniform)")
+		coldFrac = flag.Float64("cold-frac", 0, "fraction of requests forced cold (pool bypass)")
+		reps     = flag.Int("reps", 3, "repetitions per stage in -compare")
+		minSpeed = flag.Float64("min-speedup", 0, "-compare exits non-zero when warm speedup is below this")
+		smoke    = flag.Bool("smoke", false, "cold+warm smoke: assert the warm request hits the pool")
+		compare  = flag.Bool("compare", false, "measure cold vs warm vs incremental latency")
+		chaos    = flag.Bool("chaos", false, "fault-tolerance gate against a failpoint-armed server")
+		restart  = flag.String("restart", "",
 			"crash-equivalence gate phase: 'prime' warms the pool and records a baseline, 'verify' asserts warm replay after a restart")
-		stateFile = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
+		stateFile   = flag.String("state", "diagload-restart.json", "baseline file shared by the -restart phases")
 		traceSample = flag.Int("trace-sample", 0,
 			"after a load run, print the span breakdown of the N slowest requests")
 	)
@@ -130,8 +128,6 @@ func main() {
 		err = runCompare(cfg)
 	case *chaos:
 		err = runChaos(cfg)
-	case *portfolio:
-		err = runPortfolio(cfg)
 	case *restart != "":
 		err = runRestart(cfg, *restart, *stateFile)
 	default:
@@ -522,67 +518,6 @@ func runSmoke(cfg config) error {
 	fmt.Fprintf(cfg.out, "smoke ok: %s cold %.1fms -> warm %.1fms -> projected %.1fms (pool hit, %d solutions identical, earlyTerms=%d continueBackjumps=%d)\n",
 		wl.name, cold.ElapsedMs, warm.ElapsedMs, proj.ElapsedMs, len(warm.Solutions),
 		proj.Stats.EarlyTerms, proj.Stats.ContinueBackjumps)
-	return nil
-}
-
-// runPortfolio is the portfolio-racing gate against a server started
-// with -portfolio: one raced request, one request per pinned solver
-// configuration, and the assertion that every answer — raced, pinned
-// and the local fault-free baseline — is byte-identical. That is the
-// contract that makes first-wins racing sound: configurations change
-// the search trajectory, never the solution set.
-func runPortfolio(cfg config) error {
-	cfg.circuits = cfg.circuits[:1]
-	loads, err := prepare(cfg)
-	if err != nil {
-		return err
-	}
-	wl := loads[0]
-	want, err := localTruth(wl, cfg.k)
-	if err != nil {
-		return err
-	}
-	raced, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", cfg.base(wl, ""))
-	if err != nil {
-		return err
-	}
-	if !raced.Raced {
-		return fmt.Errorf("portfolio: response was not raced — is the server running with -portfolio?")
-	}
-	if !raced.Complete {
-		return fmt.Errorf("portfolio: raced request did not complete")
-	}
-	got, _ := json.Marshal(raced.Solutions)
-	if string(got) != want {
-		return fmt.Errorf("portfolio: raced solutions diverged from local baseline:\n raced %s\n local %s", got, want)
-	}
-	for _, solver := range []string{"default", "gen2"} {
-		req := cfg.base(wl, "")
-		req.Solver = solver
-		pinned, err := postJSON[service.DiagnoseResponse](cfg.addr, "/diagnose", req)
-		if err != nil {
-			return err
-		}
-		if pinned.Raced {
-			return fmt.Errorf("portfolio: solver-pinned request (%s) was raced", solver)
-		}
-		if pinned.Solver != solver {
-			return fmt.Errorf("portfolio: pinned request reports solver %q, want %q", pinned.Solver, solver)
-		}
-		pb, _ := json.Marshal(pinned.Solutions)
-		if !bytes.Equal(pb, got) {
-			return fmt.Errorf("portfolio: %s solutions diverged from the raced answer:\n %s %s\n raced %s", solver, solver, pb, got)
-		}
-	}
-	races, err := fetchMetric(cfg.addr, "diag_portfolio_races_total")
-	if err != nil {
-		return err
-	}
-	if races < 1 {
-		return fmt.Errorf("portfolio: /metrics reports %d races, want >= 1", races)
-	}
-	fmt.Fprintf(cfg.out, "portfolio ok: %s raced (winner %s, %.1fms), %d solutions identical across raced/default/gen2/local\n",
-		wl.name, raced.Solver, raced.ElapsedMs, len(raced.Solutions))
 	return nil
 }
 

@@ -57,6 +57,20 @@ func main() {
 func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, model string,
 	numTests, k int, method, engine string, shards, maxSol int, timeout time.Duration, verbose bool) error {
 
+	// Validate the selectors before any work or output.
+	want := strings.ToLower(method)
+	switch want {
+	case "bsim", "cov", "bsat", "hybrid", "all":
+	default:
+		return fmt.Errorf("unknown method %q (valid: bsim, cov, bsat, hybrid, all)", method)
+	}
+	if engine != "" && engine != "mono" && engine != "cegar" {
+		return fmt.Errorf("unknown engine %q (want mono or cegar)", engine)
+	}
+	if engine == "cegar" && want == "hybrid" {
+		return fmt.Errorf("-engine cegar does not combine with -method hybrid (steering is a mono-BSAT feature); use -method bsat")
+	}
+
 	var (
 		golden, faulty *diagnosis.Circuit
 		sites          []int
@@ -114,15 +128,7 @@ func run(circuitName, goldenPath, faultyPath string, inject int, seed int64, mod
 		}
 	}
 
-	want := strings.ToLower(method)
 	do := func(name string) bool { return want == "all" || want == name }
-
-	if engine != "" && engine != "mono" && engine != "cegar" {
-		return fmt.Errorf("unknown engine %q (want mono or cegar)", engine)
-	}
-	if engine == "cegar" && want == "hybrid" {
-		return fmt.Errorf("-engine cegar does not combine with -method hybrid (steering is a mono-BSAT feature); use -method bsat")
-	}
 
 	if do("bsim") {
 		res := diagnosis.DiagnoseBSIM(faulty, tests, diagnosis.PTOptions{})

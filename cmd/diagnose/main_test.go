@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -33,8 +34,16 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: engine validation happens inside run.
+// TestRunRejectsBadFlags: method and engine validation happen inside
+// run, before any output.
 func TestRunRejectsBadFlags(t *testing.T) {
+	err := run("s298x", "", "", 1, 1, "kind", 4, 0, "bsatt", "mono", 1, 10, time.Minute, false)
+	if err == nil {
+		t.Fatal("unknown method accepted")
+	}
+	if !strings.Contains(err.Error(), "bsim, cov, bsat, hybrid, all") {
+		t.Fatalf("unknown method error does not list the valid names: %v", err)
+	}
 	if err := run("s298x", "", "", 1, 1, "kind", 4, 0, "bsat", "warp", 1, 10, time.Minute, false); err == nil {
 		t.Fatal("unknown engine accepted")
 	}

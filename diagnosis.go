@@ -155,7 +155,7 @@ type (
 // cancellation through ctx, and, for the SAT engines, sharded parallel
 // enumeration through Request.Shards: with Shards > 1 the candidate
 // select-literals are partitioned into disjoint shards enumerated
-// concurrently on cloned solver backends, and for complete runs the
+// concurrently on cloned solvers, and for complete runs the
 // canonically merged result is identical to the monolithic run — the
 // same solutions in the same order for any shard count. A budget or
 // solution cap truncates sharded and monolithic runs to different

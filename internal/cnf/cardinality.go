@@ -73,7 +73,7 @@ var ErrBadEncoding = errors.New("cnf: unknown cardinality encoding")
 // maxBound (counter width maxBound+1), using the requested encoding.
 // A negative maxBound is clamped to 0 (a width-1 ladder that can still
 // enforce AtMost(0)); an unknown encoding is ErrBadEncoding.
-func AddLadder(s sat.Builder, lits []sat.Lit, maxBound int, enc CardEncoding) (*Ladder, error) {
+func AddLadder(s *sat.Solver, lits []sat.Lit, maxBound int, enc CardEncoding) (*Ladder, error) {
 	if maxBound < 0 {
 		maxBound = 0
 	}
@@ -95,7 +95,7 @@ func AddLadder(s sat.Builder, lits []sat.Lit, maxBound int, enc CardEncoding) (*
 
 // addSeqCounter builds Sinz's sequential counter of the given width.
 // reg[i][j] = "at least j+1 of lits[0..i] are true" (one-way).
-func addSeqCounter(s sat.Builder, lits []sat.Lit, width int) *Ladder {
+func addSeqCounter(s *sat.Solver, lits []sat.Lit, width int) *Ladder {
 	n := len(lits)
 	if n == 0 || width == 0 {
 		return &Ladder{n: n}
@@ -126,7 +126,7 @@ func addSeqCounter(s sat.Builder, lits []sat.Lit, width int) *Ladder {
 }
 
 // addTotalizer builds a (one-way) totalizer tree truncated to width.
-func addTotalizer(s sat.Builder, lits []sat.Lit, width int) *Ladder {
+func addTotalizer(s *sat.Solver, lits []sat.Lit, width int) *Ladder {
 	n := len(lits)
 	if n == 0 || width == 0 {
 		return &Ladder{n: n}
@@ -175,7 +175,7 @@ func addTotalizer(s sat.Builder, lits []sat.Lit, width int) *Ladder {
 // "at least 2" counter output, so an AtMost(1) assumption propagates
 // pairwise (any decided true literal immediately falsifies all others).
 // Quadratic in len(lits); intended for k = 1 diagnosis on small cones.
-func addPairwiseLadder(s sat.Builder, lits []sat.Lit, width int) *Ladder {
+func addPairwiseLadder(s *sat.Solver, lits []sat.Lit, width int) *Ladder {
 	l := addSeqCounter(s, lits, width)
 	if len(l.atLeast) >= 2 {
 		ge2 := l.atLeast[1]
@@ -190,7 +190,7 @@ func addPairwiseLadder(s sat.Builder, lits []sat.Lit, width int) *Ladder {
 
 // AtMostDirect adds a hard (non-assumable) pairwise at-most-one
 // constraint; a convenience for small side conditions.
-func AtMostDirect(s sat.Builder, lits []sat.Lit) {
+func AtMostDirect(s *sat.Solver, lits []sat.Lit) {
 	for i := 0; i < len(lits); i++ {
 		for j := i + 1; j < len(lits); j++ {
 			s.AddClause(lits[i].Neg(), lits[j].Neg())

@@ -60,17 +60,9 @@ type DiagOptions struct {
 	// leave this off.
 	GuardTests bool
 
-	// Backend, when non-nil, supplies the SAT backend the session encodes
-	// into instead of the built-in CDCL solver (sat.New). The encoders
-	// only require the sat.Builder surface, so any sat.Backend
-	// implementation slots in here.
-	Backend sat.Backend
-
-	// Search, when non-zero, selects the solver's search configuration
-	// (sat.DefaultConfig / sat.Gen2Config). Configurations change the
-	// search trajectory, never the solution set, so any configuration —
-	// including a different one per shard worker — yields the same
-	// canonical diagnosis sets.
+	// Search is ignored: the solver has a single search, so there is
+	// nothing to select. The field remains only so code built against
+	// the older options (the perfbench harness) still compiles.
 	Search sat.SearchConfig
 
 	// Enum is the session's default enumeration mode for rounds that do
@@ -81,10 +73,10 @@ type DiagOptions struct {
 	// solution set.
 	Enum sat.EnumMode
 
-	// Recorder, when non-nil, is installed on the backend as its flight
+	// Recorder, when non-nil, is installed on the solver as its flight
 	// recorder: the solver's rare search events (restarts, reductions,
 	// models, budget exits) land in its ring, and clones forked for
-	// sharded or portfolio runs inherit it. Observation-only — the
+	// sharded runs inherit it. Observation-only — the
 	// search trajectory is identical with or without it.
 	Recorder *trace.Recorder
 }

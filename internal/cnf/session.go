@@ -33,10 +33,9 @@ import (
 // in one call); Instance is an alias of DiagSession, so the two views
 // are the same object. A DiagSession is not safe for concurrent use.
 type DiagSession struct {
-	// Solver is the SAT backend behind the session. It is the built-in
-	// CDCL solver by default; DiagOptions.Backend swaps in another
-	// implementation, and Fork clones it per enumeration shard.
-	Solver  sat.Backend
+	// Solver is the CDCL solver behind the session; ForkSession clones
+	// it per enumeration shard.
+	Solver  *sat.Solver
 	Circuit *circuit.Circuit
 	// Tests lists the encoded test copies in AddTest order.
 	Tests circuit.TestSet
@@ -89,7 +88,7 @@ type SessionStats struct {
 	// blocking clauses have been retracted; BudgetedRounds the rounds
 	// that ran under a finite conflict or wall-clock budget.
 	Rounds, RetiredRounds, BudgetedRounds int
-	// Solver holds the backend's accumulated work counters.
+	// Solver holds the solver's accumulated work counters.
 	Solver sat.Stats
 }
 
@@ -116,13 +115,7 @@ func (sess *DiagSession) Stats() SessionStats {
 // candidate set and MaxK), test copies are appended later with AddTest.
 func NewSession(c *circuit.Circuit, opts DiagOptions) *DiagSession {
 	start := time.Now()
-	var s sat.Backend = opts.Backend
-	if s == nil {
-		s = sat.New()
-	}
-	if opts.Search != (sat.SearchConfig{}) {
-		s.SetSearchConfig(opts.Search)
-	}
+	s := sat.New()
 	if opts.Recorder != nil {
 		s.SetRecorder(opts.Recorder)
 	}
@@ -467,17 +460,11 @@ type RoundOptions struct {
 	// EnumerateRound. A cube that exhausts its retries is abandoned and
 	// the run reports complete=false.
 	MaxCubeRetries int
-	// WorkerConfigs, when non-empty, assigns search configurations to the
-	// forked shard workers cyclically (worker i runs WorkerConfigs[i %
-	// len]). Configurations change only the search trajectory, never the
-	// solution set, so a mixed-config sharded run still merges to the
-	// canonical monolithic answer. Ignored by EnumerateRound.
-	WorkerConfigs []sat.SearchConfig
 	// Enum selects the enumeration mode of every EnumerateProjected call
 	// in the round (sat.EnumLegacy or sat.EnumProjected). The zero value
-	// falls back to the session default (DiagOptions.Enum). Like search
-	// configurations, the mode is trajectory-only under the ladder
-	// discipline: the canonical solution set is identical.
+	// falls back to the session default (DiagOptions.Enum). The mode is
+	// trajectory-only under the ladder discipline: the canonical
+	// solution set is identical.
 	Enum sat.EnumMode
 }
 
@@ -586,6 +573,6 @@ func spanStats(span *trace.Span, d sat.Stats) {
 	span.Counter("conflicts", d.Conflicts)
 	span.Counter("decisions", d.Decisions)
 	span.Counter("propagations", d.Propagations)
-	span.Counter("restarts", d.Restarts+d.LBDRestarts)
+	span.Counter("restarts", d.Restarts)
 	span.Counter("learnt", d.Learnt)
 }

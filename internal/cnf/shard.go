@@ -25,19 +25,19 @@ type Cube struct {
 }
 
 // Shard is one worker of a forked enumeration: an independent session
-// over a cloned backend plus the assumption cubes it serves
+// over a cloned solver plus the assumption cubes it serves
 // sequentially. The cubes of one fork partition the projected solution
 // space — every correction satisfies exactly one cube — so the workers
 // never repeat a solution, and the canonical merge of their outputs
 // equals the monolithic enumeration.
 //
 // Slices are scoped purely by assumptions, never by asserted clauses:
-// the forked backend stays an unconstrained copy of the parent
+// the forked solver stays an unconstrained copy of the parent
 // encoding, assumptions propagate from decision level 0 (no auxiliary
 // encoding taxing every solve), and one clone serves any number of
 // cubes in turn.
 type Shard struct {
-	// Session is the forked session: cloned backend plus copied per-copy
+	// Session is the forked session: cloned solver plus copied per-copy
 	// tables, so AddTest and enumeration on the shard never touch the
 	// parent (or the sibling shards).
 	Session *DiagSession
@@ -198,11 +198,11 @@ func ScheduleCubes(cubes []Cube, n int) [][]Cube {
 	return workers
 }
 
-// ForkSession clones the session into an independent twin: the backend
-// is Cloned (keepLearnts forwards to sat.Backend.Clone) and the
+// ForkSession clones the session into an independent twin: the solver
+// is Cloned (keepLearnts forwards to sat.Solver.Clone) and the
 // per-copy tables are copied, so AddTest and enumeration on the fork
-// never touch the parent. Both the sharded workers (ForkWorkers) and
-// the portfolio racer in the service layer fork through here.
+// never touch the parent. The sharded workers (ForkWorkers) fork
+// through here.
 func (sess *DiagSession) ForkSession(keepLearnts bool) *DiagSession {
 	forked := &DiagSession{
 		Solver:     sess.Solver.Clone(keepLearnts),
@@ -226,7 +226,7 @@ func (sess *DiagSession) ForkSession(keepLearnts bool) *DiagSession {
 }
 
 // ForkWorkers clones the session once per worker load (keepLearnts
-// forwards to sat.Backend.Clone) and couples each clone with its cubes.
+// forwards to sat.Solver.Clone) and couples each clone with its cubes.
 // The parent session stays untouched and fully usable.
 func (sess *DiagSession) ForkWorkers(workers [][]Cube, keepLearnts bool) []*Shard {
 	shards := make([]*Shard, len(workers))
@@ -247,7 +247,7 @@ func (sh *Shard) Release() {
 }
 
 // Fork splits the session's solution space into up to n disjoint
-// assumption-scoped shards, each on a Clone of the backend, one cube
+// assumption-scoped shards, each on a Clone of the solver, one cube
 // per shard. Without sample information the cubes come from the
 // deterministic staircase plan; callers that already hold known
 // solutions (a sample round) should PlanCubes from them and
@@ -625,14 +625,6 @@ func (sess *DiagSession) RunCubes(shards int, opts RoundOptions, sample [][]int,
 
 	loads := ScheduleCubes(sess.PlanCubes(sample, shards*CubeOversubscription), shards)
 	forks := sess.ForkWorkers(loads, keepLearnts)
-	if len(opts.WorkerConfigs) > 0 {
-		// Mixed-config sharding: worker i searches under WorkerConfigs[i %
-		// len]. Trajectories differ per worker; the canonical merge does
-		// not.
-		for i, sh := range forks {
-			sh.Session.Solver.SetSearchConfig(opts.WorkerConfigs[i%len(opts.WorkerConfigs)])
-		}
-	}
 	queue := newCubeQueue(loads)
 	maxRetries := opts.MaxCubeRetries
 	if maxRetries == 0 {

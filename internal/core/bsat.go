@@ -38,12 +38,6 @@ type BSATOptions struct {
 	// cone (instance-size heuristic; solution space unchanged).
 	ConeOnly bool
 
-	// Solver names the search configuration the backend runs under
-	// ("default", "gen2"; "" = default). Configurations change only the
-	// search trajectory, never the solution set. Unknown names are
-	// rejected (sat.ConfigByName).
-	Solver string
-
 	// Enum names the enumeration mode ("legacy", "projected"; "" =
 	// legacy). The projected mode terminates each model at the
 	// projection frontier and resumes search in place after blocking —
@@ -66,7 +60,7 @@ type BSATOptions struct {
 	Timeout time.Duration
 
 	// Shards > 1 forks the enumeration into that many disjoint candidate
-	// shards, each running concurrently on a cloned backend: a sequential
+	// shards, each running concurrently on a cloned solver: a sequential
 	// sample stage enumerates the first solutions monolithically, plans
 	// balanced assumption cubes from their candidate frequencies
 	// (cnf.DiagSession.PlanCubes), and the forked shards enumerate the
@@ -93,10 +87,6 @@ type BSATOptions struct {
 }
 
 func (o BSATOptions) diagOptions() (cnf.DiagOptions, error) {
-	search, err := sat.ConfigByName(o.Solver)
-	if err != nil {
-		return cnf.DiagOptions{}, err
-	}
 	enum, err := sat.EnumModeByName(o.Enum)
 	if err != nil {
 		return cnf.DiagOptions{}, err
@@ -110,11 +100,10 @@ func (o BSATOptions) diagOptions() (cnf.DiagOptions, error) {
 		ForceZero:   o.ForceZero,
 		ConeOnly:    o.ConeOnly,
 		Golden:      o.Golden,
-		Search:      search,
 		Enum:        enum,
 		// Cold-path flight recording: a request that carries a recorder
 		// on its context (the service's cold-build path) has it
-		// installed on the session's backend at construction.
+		// installed on the session's solver at construction.
 		Recorder: trace.RecorderFromContext(o.Ctx),
 	}, nil
 }

@@ -136,7 +136,7 @@ enumerate:
 // Options mirror BSATOptions, including Shards: with Shards > 1 the
 // seeded abstraction is forked into disjoint candidate shards
 // (cnf.DiagSession.Fork), each running its own refinement loop on a
-// cloned backend concurrently with a dedicated oracle and an
+// cloned solver concurrently with a dedicated oracle and an
 // independently grown copy set; the canonical merge restores exactly
 // the monolithic solution set. Groups and Golden are rejected: their
 // validity semantics (shared select lines across frame instances;

@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -204,7 +203,7 @@ func TestCloneThenDiverge(t *testing.T) {
 	}
 	orig := build()
 	twin := build()
-	clone := orig.Clone(false).(*Solver)
+	clone := orig.Clone(false)
 
 	// Mutate the original hard: solve (learnts, saved phases), pin facts
 	// (level-0 trail + simplify), reduce and compact (arena relocation).
@@ -244,75 +243,6 @@ func TestCloneThenDiverge(t *testing.T) {
 	}
 }
 
-// TestCloneThenDivergeGen2: the gen2 restart state (LBD EMAs, warmup
-// counter, vivification cursor) must be deep-copied, so a clone taken
-// mid-session searches exactly as its parent would have from the fork
-// point. The fork happens AFTER a solve — with the EMAs warm — and the
-// clone is then compared against an identically-built twin that never
-// forked.
-func TestCloneThenDivergeGen2(t *testing.T) {
-	build := func() *Solver {
-		s, _ := randomInstance(150, 0x165667B19E3779F9)
-		s.SetSearchConfig(Gen2Config())
-		return s
-	}
-	orig, twin := build(), build()
-	if a, b := orig.Solve(), twin.Solve(); a != b {
-		t.Fatalf("identical builds diverged: %v vs %v", a, b)
-	}
-	clone := orig.Clone(true).(*Solver)
-	if clone.cfg != orig.cfg || clone.emaFast != orig.emaFast ||
-		clone.emaSlow != orig.emaSlow || clone.lbdConflicts != orig.lbdConflicts ||
-		clone.vivifyHead != orig.vivifyHead {
-		t.Fatalf("Clone dropped gen2 search state:\n clone: cfg=%+v ema=%v/%v warm=%d viv=%d\n  orig: cfg=%+v ema=%v/%v warm=%d viv=%d",
-			clone.cfg, clone.emaFast, clone.emaSlow, clone.lbdConflicts, clone.vivifyHead,
-			orig.cfg, orig.emaFast, orig.emaSlow, orig.lbdConflicts, orig.vivifyHead)
-	}
-	if orig.emaSlow == 0 {
-		t.Fatal("EMAs never warmed before the fork; test exercises nothing")
-	}
-
-	// Mutate the original hard post-fork.
-	var block []Lit
-	for v := 0; v < 20; v++ {
-		block = append(block, MkLit(Var(v), orig.Value(Var(v)) == LTrue))
-	}
-	orig.AddClause(block...)
-	orig.MaxConflicts = 500
-	orig.Solve()
-
-	// Drive the clone and the twin through the identical incremental
-	// workload: with the restart state carried over, their searches —
-	// and so their work-counter deltas — must match exactly.
-	workload := func(s *Solver) []Status {
-		var sts []Status
-		for round := 0; round < 5; round++ {
-			st := s.Solve()
-			sts = append(sts, st)
-			if st != StatusSat || !s.Okay() {
-				break
-			}
-			var bl []Lit
-			for v := 0; v < 15; v++ {
-				bl = append(bl, MkLit(Var(v), s.Value(Var(v)) == LTrue))
-			}
-			if !s.AddClause(bl...) {
-				break
-			}
-		}
-		return sts
-	}
-	twinBase := twin.Stats
-	cs, ts := workload(clone), workload(twin)
-	if fmt.Sprint(cs) != fmt.Sprint(ts) {
-		t.Fatalf("status sequences diverged: clone %v vs twin %v", cs, ts)
-	}
-	if clone.Stats != twin.Stats.Sub(twinBase) {
-		t.Fatalf("clone search diverged from the fork point:\n clone: %+v\n  twin: %+v",
-			clone.Stats, twin.Stats.Sub(twinBase))
-	}
-}
-
 // TestWatchSlabRebuildZeroAlloc: re-laying every watch list after a
 // compaction pass must reuse the slab's backing array — strict zero
 // allocations once warm.
@@ -349,7 +279,7 @@ func TestCloneConcurrentWorkers(t *testing.T) {
 	results := make([]Status, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		clone := s.Clone(w%2 == 0).(*Solver)
+		clone := s.Clone(w%2 == 0)
 		wg.Add(1)
 		go func(w int, c *Solver) {
 			defer wg.Done()

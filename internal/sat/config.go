@@ -2,107 +2,19 @@ package sat
 
 import "fmt"
 
-// SearchConfig selects one of the solver's search configurations. The
-// zero value (and the "default" name) is the MiniSat-style search every
-// golden recording pins: Luby restarts, non-chronological backjumping,
-// no vivification — byte-identical to the pre-arena solver on the
-// differential corpus. The "gen2" configuration layers Glucose-style
-// heuristics on the same arena storage; it is a deliberate search
-// change with its own golden file (testdata/gen2_golden.json), and its
-// solution sets are provably identical to the default's — only the
-// trajectory differs — which is what makes portfolio racing sound.
-//
-// The configuration travels through Backend.SetSearchConfig and is
-// deep-copied by Clone (together with the live restart-EMA state), so
-// shard workers and portfolio racers search reproducibly from their
-// fork point.
-type SearchConfig struct {
-	// Name identifies the configuration ("" reads as "default"); the
-	// service reports portfolio winners and per-session metrics by it.
-	Name string
+// SearchConfig is the solver's search configuration. The solver has a
+// single search — MiniSat-style Luby restarts and non-chronological
+// backjumping, pinned by testdata/prearena_golden.json — so the struct
+// carries no settings; it remains as the value ConfigByName returns.
+type SearchConfig struct{}
 
-	// LBDRestarts replaces the pure Luby policy with Glucose-style
-	// dynamic restarts: an exponential moving average of recent learnt-
-	// clause LBDs is compared against a long-horizon average, and the
-	// search restarts as soon as recent conflicts look markedly worse
-	// than the session's norm. The Luby limit remains as a fallback cap,
-	// so a search that never trips the EMA trigger still restarts.
-	LBDRestarts bool
-
-	// Vivify enables clause vivification on the level-0 simplification
-	// pass: problem clauses are probed literal by literal under
-	// assumption propagation and shrunk in place when a prefix already
-	// implies them. Runs in bounded batches behind a resumption cursor.
-	Vivify bool
-
-	// ChronoBT, when positive, enables chronological backtracking for
-	// shallow conflicts: a conflict whose backjump would unwind at least
-	// ChronoBT levels backtracks a single level instead (the learnt
-	// clause is still asserting there), preserving most of the trail.
-	// 0 disables.
-	ChronoBT int
-}
-
-// DefaultConfig is the golden-pinned MiniSat-style search.
-func DefaultConfig() SearchConfig { return SearchConfig{Name: "default"} }
-
-// Gen2Config is the second-generation search: LBD-driven restarts,
-// bounded clause vivification, and chronological backtracking for
-// conflicts that would otherwise unwind 100+ levels.
-func Gen2Config() SearchConfig {
-	return SearchConfig{Name: "gen2", LBDRestarts: true, Vivify: true, ChronoBT: 100}
-}
-
-// ConfigByName resolves a configuration name ("" and "default" are the
-// golden-pinned search, "gen2" the second generation).
+// ConfigByName validates a search configuration name: "" and "default"
+// name the solver's one search, anything else is an error.
 func ConfigByName(name string) (SearchConfig, error) {
 	switch name {
 	case "", "default":
-		return DefaultConfig(), nil
-	case "gen2":
-		return Gen2Config(), nil
+		return SearchConfig{}, nil
 	default:
-		return SearchConfig{}, fmt.Errorf("sat: unknown search configuration %q (default, gen2)", name)
+		return SearchConfig{}, fmt.Errorf("sat: unknown search configuration %q (default)", name)
 	}
 }
-
-// PortfolioConfigs lists the configurations a portfolio race runs, in
-// reported order.
-func PortfolioConfigs() []SearchConfig {
-	return []SearchConfig{DefaultConfig(), Gen2Config()}
-}
-
-// Tuning constants of the gen2 heuristics.
-const (
-	// Fast/slow EMA smoothing of learnt-clause LBDs (Glucose lineage:
-	// the fast average tracks the recent few dozen conflicts, the slow
-	// one the whole search).
-	lbdEmaFastAlpha = 1.0 / 32
-	lbdEmaSlowAlpha = 1.0 / 4096
-	// Restart when the recent average exceeds the global one by this
-	// margin...
-	lbdRestartMargin = 1.25
-	// ...but only after the search has run this many conflicts since
-	// the last restart, and the EMAs have globally warmed up.
-	lbdRestartMinInterval = 50
-	lbdEmaWarmup          = 100
-
-	// vivifyBatch bounds how many problem clauses one simplify pass
-	// probes; the cursor resumes where the last batch stopped.
-	vivifyBatch = 500
-)
-
-// SetSearchConfig selects the search configuration for subsequent
-// Solve calls. Must be called between Solve calls (decision level 0).
-// Switching configurations never changes the solution space — only the
-// search trajectory — so a long-lived session can serve requests with
-// different configurations back to back.
-func (s *Solver) SetSearchConfig(cfg SearchConfig) {
-	if s.decisionLevel() != 0 {
-		panic("sat: SetSearchConfig above decision level 0")
-	}
-	s.cfg = cfg
-}
-
-// SearchConfiguration returns the active search configuration.
-func (s *Solver) SearchConfiguration() SearchConfig { return s.cfg }

@@ -12,9 +12,8 @@ import (
 
 // This file pins and verifies the EnumProjected enumeration mode: its
 // trajectory is recorded in testdata/enum_golden.json (regenerated
-// deliberately via -update-golden, exactly like the prearena and gen2
-// recordings), and its enumerated solution sets are proven equal to the
-// legacy mode's on corpora where set-equality is order-independent
+// deliberately via -update-golden, exactly like the prearena recording),
+// and its enumerated solution sets are proven equal to the legacy mode's on corpora where set-equality is order-independent
 // (exact blocking always; subset blocking under the cardinality-ladder
 // discipline the diagnosis engines use, covered in internal/cnf).
 
@@ -49,7 +48,7 @@ func enumGoldenCorpus() []goldenCase {
 		cfg := cfg
 		name := fmt.Sprintf("enum/subset/nv%d", cfg.nv)
 		cases = append(cases, goldenCase{name, func() goldenRecord {
-			s := buildRandom(cfg.nv, cfg.nc, 3, cfg.seed, DefaultConfig())
+			s := buildRandom(cfg.nv, cfg.nc, 3, cfg.seed)
 			proj := make([]Lit, cfg.projN)
 			for i := range proj {
 				proj[i] = PosLit(Var(i))
@@ -73,7 +72,7 @@ func enumGoldenCorpus() []goldenCase {
 
 	// Exact-blocking enumeration (distinct projected assignments).
 	cases = append(cases, goldenCase{"enum/exact", func() goldenRecord {
-		s := buildRandom(80, 280, 3, 0x0B4711, DefaultConfig())
+		s := buildRandom(80, 280, 3, 0x0B4711)
 		proj := make([]Lit, 8)
 		for i := range proj {
 			proj[i] = PosLit(Var(i))
@@ -98,7 +97,7 @@ func enumGoldenCorpus() []goldenCase {
 	// Guarded round, then retire, then unguarded re-enumeration — the
 	// session discipline.
 	cases = append(cases, goldenCase{"enum/guarded", func() goldenRecord {
-		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210, DefaultConfig())
+		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210)
 		guard := PosLit(s.NewVar())
 		proj := make([]Lit, 10)
 		for i := range proj {
@@ -129,7 +128,7 @@ func enumGoldenCorpus() []goldenCase {
 
 	// Conflict-budgeted enumeration: must stop at the identical point.
 	cases = append(cases, goldenCase{"enum/budget", func() goldenRecord {
-		s := buildRandom(120, 552, 3, 0xA24BAED4963EE407, DefaultConfig())
+		s := buildRandom(120, 552, 3, 0xA24BAED4963EE407)
 		s.MaxConflicts = 40
 		proj := make([]Lit, 16)
 		for i := range proj {
@@ -157,7 +156,7 @@ func enumGoldenCorpus() []goldenCase {
 const enumGoldenPath = "testdata/enum_golden.json"
 
 // TestDifferentialGoldenEnum pins the EnumProjected trajectory the same
-// way the prearena/gen2 recordings pin the search configurations.
+// way the prearena recording pins the default search.
 func TestDifferentialGoldenEnum(t *testing.T) {
 	runGoldenCases(t, enumGoldenPath, enumGoldenCorpus())
 }
@@ -189,8 +188,8 @@ func collectExact(s *Solver, proj []Lit, mode EnumMode) (sols []string, complete
 // order-independent — both modes must produce the identical set.
 func TestEnumModeEquivalenceExact(t *testing.T) {
 	for _, seed := range []uint64{0x9E3779B97F4A7C15, 0x2545F4914F6CDD1D, 0xD1B54A32D192ED03, 0xBADC0FFEE} {
-		legacy := buildRandom(60, 200, 3, seed, DefaultConfig())
-		projected := buildRandom(60, 200, 3, seed, DefaultConfig())
+		legacy := buildRandom(60, 200, 3, seed)
+		projected := buildRandom(60, 200, 3, seed)
 		proj := make([]Lit, 9)
 		for i := range proj {
 			proj[i] = PosLit(Var(i))
@@ -250,7 +249,7 @@ func TestEnumProjectedCounters(t *testing.T) {
 // clause database past the cancellation point — in either mode.
 func TestEnumerateCtxPostModel(t *testing.T) {
 	for _, mode := range []EnumMode{EnumLegacy, EnumProjected} {
-		s := buildRandom(40, 120, 3, 0x13579BDF2468ACE0, DefaultConfig())
+		s := buildRandom(40, 120, 3, 0x13579BDF2468ACE0)
 		proj := make([]Lit, 8)
 		for i := range proj {
 			proj[i] = PosLit(Var(i))
@@ -356,7 +355,7 @@ func TestEnumerateEmptyProjection(t *testing.T) {
 // buffers to capacity first.
 func TestEnumerateSteadyStateZeroAlloc(t *testing.T) {
 	for _, mode := range []EnumMode{EnumLegacy, EnumProjected} {
-		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210, DefaultConfig())
+		s := buildRandom(40, 100, 3, 0xFEDCBA9876543210)
 		proj := make([]Lit, 10)
 		for i := range proj {
 			proj[i] = PosLit(Var(i))

@@ -7,9 +7,8 @@ import "fmt"
 // The legacy mode re-solves from scratch after every blocking clause and
 // only declares a model once every variable is assigned. The projected
 // mode is structurally different — it terminates each model early and
-// resumes the search in place after blocking — so, like the gen2 search
-// configuration, it is gated behind an explicit opt-in and pinned by its
-// own differential golden (testdata/enum_golden.json); the default
+// resumes the search in place after blocking — so it is gated behind an
+// explicit opt-in and pinned by its own differential golden (testdata/enum_golden.json); the default
 // goldens never see it.
 type EnumMode int
 
@@ -53,8 +52,7 @@ func EnumModeByName(name string) (EnumMode, error) {
 }
 
 // enumChronoBT is the chronological-backtracking distance the projected
-// mode enforces while the tracker is active (tighter of this and the
-// search configuration's own ChronoBT), and enumFatLevel is the average
+// mode enforces while the tracker is active, and enumFatLevel is the average
 // trail-literals-per-level density above which it applies. See the
 // conflict branch of search for rationale.
 const (

@@ -69,25 +69,6 @@ type Solver struct {
 	ctx     context.Context
 	ctxNext int64 // Stats.Conflicts value at which to poll ctx next
 
-	// Heuristic switches (enabled by default in New).
-	ClauseMinimize bool
-	PhaseSaving    bool
-
-	// Search configuration (see config.go) and the gen2 restart state:
-	// fast/slow EMAs of learnt-clause LBDs plus the warmup conflict
-	// counter, deep-copied by Clone so a clone restarts exactly where
-	// its parent would have. The counter is separate from
-	// Stats.Conflicts deliberately: Clone zeroes Stats for per-clone
-	// work attribution, and gating search behaviour on a reporting
-	// counter would make a clone's search diverge from its fork point.
-	cfg          SearchConfig
-	emaFast      float64
-	emaSlow      float64
-	lbdConflicts int64
-	// vivifyHead is the resumption cursor of the bounded vivification
-	// batches (index into s.clauses, clamped modulo its length).
-	vivifyHead int
-
 	// Projected-enumeration state (enummode.go): the satisfaction
 	// tracker behind EnumProjected, plus the reusable blocking-clause
 	// and projection buffers that keep the enumeration loops
@@ -102,9 +83,9 @@ type Solver struct {
 	// rec, when non-nil, receives packed flight-recorder events at the
 	// search's rare control-flow points (restarts, reductions, models,
 	// exits — never per-propagation work). Clones inherit the pointer,
-	// so shard workers and portfolio forks interleave their events on
-	// one shared conflict-stamped timeline. Nil (the default) costs a
-	// single pointer test per event site.
+	// so shard workers interleave their events on one shared
+	// conflict-stamped timeline. Nil (the default) costs a single
+	// pointer test per event site.
 	rec *trace.Recorder
 
 	maxLearnts    float64
@@ -114,12 +95,10 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		ok:             true,
-		varInc:         1,
-		clauseInc:      1,
-		ClauseMinimize: true,
-		PhaseSaving:    true,
-		simpDBAssigns:  -1,
+		ok:            true,
+		varInc:        1,
+		clauseInc:     1,
+		simpDBAssigns: -1,
 	}
 }
 
@@ -200,8 +179,7 @@ func (s *Solver) ValueLit(l Lit) LBool {
 // Solve proved unsatisfiability (a failed-assumption core, negated form).
 func (s *Solver) ConflictSet() []Lit { return s.conflictSet }
 
-// Statistics returns the accumulated work counters (the Stats field,
-// behind the Backend interface).
+// Statistics returns the accumulated work counters (the Stats field).
 func (s *Solver) Statistics() Stats { return s.Stats }
 
 // SetPolarity fixes the saved phase of v: the value the solver tries
@@ -301,15 +279,6 @@ func (s *Solver) attach(cr CRef) {
 	}
 	s.wslab.push(l0.Neg(), mkWatch(cr, l1))
 	s.wslab.push(l1.Neg(), mkWatch(cr, l0))
-}
-
-// detach removes the clause's two watches (swap-removal; only the gen2
-// vivifier detaches individual clauses, so watch-list order — which the
-// default golden pins — is never perturbed under the default config).
-func (s *Solver) detach(cr CRef) {
-	lits := s.ca.lits(cr)
-	s.wslab.remove(Lit(lits[0]).Neg(), cr)
-	s.wslab.remove(Lit(lits[1]).Neg(), cr)
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from CRef) {
@@ -429,9 +398,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		if s.PhaseSaving {
-			s.polarity[v] = s.assigns[v] == LFalse
-		}
+		s.polarity[v] = s.assigns[v] == LFalse
 		s.assigns[v] = LUndef
 		s.reason[v] = CRefUndef
 		if s.enum.active {
@@ -543,22 +510,20 @@ func (s *Solver) analyze(confl CRef) ([]Lit, int) {
 		s.seen[l.Var()] = 1
 		s.toClear = append(s.toClear, l.Var())
 	}
-	if s.ClauseMinimize {
-		var mask uint32
-		for _, l := range learnt[1:] {
-			mask |= 1 << uint(s.level[l.Var()]&31)
-		}
-		n := 1
-		for _, l := range learnt[1:] {
-			if s.reason[l.Var()] == CRefUndef || !s.litRedundant(l, mask) {
-				learnt[n] = l
-				n++
-			} else {
-				s.Stats.MinimizedLit++
-			}
-		}
-		learnt = learnt[:n]
+	var mask uint32
+	for _, l := range learnt[1:] {
+		mask |= 1 << uint(s.level[l.Var()]&31)
 	}
+	n := 1
+	for _, l := range learnt[1:] {
+		if s.reason[l.Var()] == CRefUndef || !s.litRedundant(l, mask) {
+			learnt[n] = l
+			n++
+		} else {
+			s.Stats.MinimizedLit++
+		}
+	}
+	learnt = learnt[:n]
 	for _, v := range s.toClear {
 		s.seen[v] = 0
 	}
@@ -745,13 +710,6 @@ func (s *Solver) simplify() {
 	s.learnts = s.removeSatisfied(s.learnts)
 	s.maybeCompact()
 	s.rebuildWatches()
-	if s.cfg.Vivify && s.ok {
-		// Gen2 only: probe a bounded batch of problem clauses now that
-		// the watches are valid again. Shrunk clauses grow arena waste,
-		// reclaimed by the next compaction.
-		s.record(trace.EvVivify)
-		s.vivifyRound()
-	}
 	s.simpDBAssigns = len(s.trail)
 }
 
@@ -915,25 +873,19 @@ func (s *Solver) search(nConflicts int) Status {
 				return StatusUnsat
 			}
 			learnt, bt := s.analyze(confl)
-			chronoBT := s.cfg.ChronoBT
-			if s.enum.active && (chronoBT == 0 || chronoBT > enumChronoBT) &&
-				len(s.trail) >= enumFatLevel*s.decisionLevel() {
-				// The projected mode compresses the search into few,
-				// densely populated decision levels (the projection
-				// prefix plus a clause-directed completion), so a
-				// non-chronological backjump routinely unwinds — and
-				// forces re-propagating — thousands of trail literals.
-				// Backtracking chronologically past a modest distance
-				// keeps that mass intact; the learnt clause stays
-				// asserting one level down, so this is trajectory-only.
-				// The density gate keeps the override away from
-				// instances with ordinary thin levels, where limiting
-				// backjumps only slows learning down.
-				chronoBT = enumChronoBT
-			}
-			if chronoBT > 0 && len(learnt) > 1 && s.decisionLevel()-bt >= chronoBT {
-				// Chronological backtracking: the backjump would unwind
-				// ChronoBT+ levels; step back a single level instead. The
+			// The projected mode compresses the search into few, densely
+			// populated decision levels (the projection prefix plus a
+			// clause-directed completion), so a non-chronological
+			// backjump routinely unwinds — and forces re-propagating —
+			// thousands of trail literals. Backtracking chronologically
+			// past a modest distance keeps that mass intact; the learnt
+			// clause stays asserting one level down, so this is
+			// trajectory-only. The density gate keeps it away from
+			// instances with ordinary thin levels, where limiting
+			// backjumps only slows learning down.
+			if s.enum.active && len(s.trail) >= enumFatLevel*s.decisionLevel() &&
+				len(learnt) > 1 && s.decisionLevel()-bt >= enumChronoBT {
+				// Step back a single level instead of backjumping. The
 				// learnt clause is still asserting there (every
 				// non-asserting literal has level <= bt), so the enqueue
 				// below is sound and the trail stays level-ordered.
@@ -942,13 +894,11 @@ func (s *Solver) search(nConflicts int) Status {
 				s.record(trace.EvChronoBT)
 			}
 			s.cancelUntil(bt)
-			lbd := int32(1)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], CRefUndef)
 			} else {
 				cr := s.ca.alloc(learnt, true)
-				lbd = s.computeLBD(learnt)
-				s.ca.setLBD(cr, lbd)
+				s.ca.setLBD(cr, s.computeLBD(learnt))
 				s.learnts = append(s.learnts, cr)
 				s.attach(cr)
 				s.bumpClause(cr)
@@ -958,22 +908,6 @@ func (s *Solver) search(nConflicts int) Status {
 			}
 			s.varInc *= varDecay
 			s.clauseInc *= clauseDecay
-			if s.cfg.LBDRestarts {
-				s.lbdConflicts++
-				s.emaFast += lbdEmaFastAlpha * (float64(lbd) - s.emaFast)
-				s.emaSlow += lbdEmaSlowAlpha * (float64(lbd) - s.emaSlow)
-				if conflicts >= lbdRestartMinInterval &&
-					s.lbdConflicts >= lbdEmaWarmup &&
-					s.emaFast > lbdRestartMargin*s.emaSlow {
-					// Recent conflicts are markedly worse than the
-					// session norm: restart now instead of waiting for
-					// the Luby limit.
-					s.Stats.LBDRestarts++
-					s.record(trace.EvLBDRestart)
-					s.cancelUntil(0)
-					return StatusUnknown
-				}
-			}
 			continue
 		}
 

@@ -132,30 +132,3 @@ func TestServerEnumModeValidation(t *testing.T) {
 		t.Fatalf("/sessions unknown enum -> %d, want 400", code)
 	}
 }
-
-// TestPortfolioProjectedRaces: an enum-pinned request still races (the
-// mode is trajectory-only, so any winner returns the same bytes) and the
-// projected machinery engages in the winning clone.
-func TestPortfolioProjectedRaces(t *testing.T) {
-	_, ts := newPortfolioServer(t)
-	c, tests := scenario(t, 20, 6)
-	bench := benchText(t, c)
-	wire := testJSON(tests)
-	want := mustJSON(t, truth(t, bench, tests, 2, 1))
-
-	for round := 0; round < 2; round++ {
-		r := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: bench, Tests: wire, K: 2, Enum: "projected"})
-		if !r.Raced {
-			t.Fatalf("round %d: projected request did not race", round)
-		}
-		if r.Enum != "projected" {
-			t.Fatalf("round %d: enum echo %q", round, r.Enum)
-		}
-		if got := mustJSON(t, r.Solutions); got != want {
-			t.Fatalf("round %d raced projected: %s != %s", round, got, want)
-		}
-		if len(r.Solutions) > 0 && r.Stats.EarlyTerms == 0 {
-			t.Fatalf("round %d: projected mode never engaged in the race winner", round)
-		}
-	}
-}

@@ -370,6 +370,10 @@ func TestServerErrorPaths(t *testing.T) {
 			Engine: "cov", Mode: "warm"}, http.StatusBadRequest},
 		{"bad encoding", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Encoding: "unary"}, http.StatusBadRequest},
+		{"unknown solver", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Solver: "no-such"}, http.StatusBadRequest},
+		{"retired solver", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
+			Solver: "gen2"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", tc.req)
@@ -381,10 +385,27 @@ func TestServerErrorPaths(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Errorf("unknown session: %d, want 404", code)
 	}
-	// The server still serves after the error burst.
+	// The solver name is validated before the session lookup.
+	for _, solver := range []string{"no-such", "gen2"} {
+		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/sessions/zzz/tests", service.SessionTestsRequest{Solver: solver})
+		if code != http.StatusBadRequest {
+			t.Errorf("incremental solver %q: %d, want 400", solver, code)
+		}
+	}
+	// The server still serves after the error burst, and "" and
+	// "default" name the same search: the solution bytes are identical.
 	resp := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2})
 	if !resp.Complete {
 		t.Fatal("server wedged after error paths")
+	}
+	named := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2, Solver: "default"})
+	if got, want := mustJSON(t, named.Solutions), mustJSON(t, resp.Solutions); got != want {
+		t.Fatalf(`solver "default": %s != solver "": %s`, got, want)
+	}
+	code, inc := post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+resp.Session+"/tests",
+		service.SessionTestsRequest{Solver: "default"})
+	if code != http.StatusOK || mustJSON(t, inc.Solutions) != mustJSON(t, resp.Solutions) {
+		t.Fatalf(`incremental solver "default": %d %v, want 200 %v`, code, inc.Solutions, resp.Solutions)
 	}
 }
 

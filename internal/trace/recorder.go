@@ -15,16 +15,12 @@ type EventKind uint8
 const (
 	// EvNone marks an empty ring slot.
 	EvNone EventKind = iota
-	// EvRestart is a Luby restart of the default search configuration
+	// EvRestart is a Luby restart of the search
 	// (or the per-model restart pacing of the enumeration loops).
 	EvRestart
-	// EvLBDRestart is a gen2 LBD-EMA triggered restart.
-	EvLBDRestart
 	// EvReduceDB is a learnt-clause database reduction.
 	EvReduceDB
-	// EvVivify is a level-0 vivification pass.
-	EvVivify
-	// EvChronoBT is a gen2 chronological backtrack.
+	// EvChronoBT is a projected-enumeration chronological backtrack.
 	EvChronoBT
 	// EvModel is a satisfying assignment found (one enumerated
 	// solution, or the final model of a plain Solve).
@@ -47,9 +43,7 @@ const (
 var kindNames = [evKinds]string{
 	EvNone:         "none",
 	EvRestart:      "restart",
-	EvLBDRestart:   "lbd-restart",
 	EvReduceDB:     "reduce-db",
-	EvVivify:       "vivify",
 	EvChronoBT:     "chrono-bt",
 	EvModel:        "model",
 	EvEarlyTerm:    "early-term",
@@ -109,9 +103,9 @@ const DefaultRecorderSize = 256
 
 // Recorder is a fixed-size ring of packed solver events. Writes are
 // one atomic add plus one atomic store, allocation-free, and safe from
-// multiple goroutines — cloned solvers (shard workers, portfolio
-// forks) share their parent's recorder, interleaving their events on
-// the same conflict-stamped timeline. Reads (Snapshot, Since) are safe
+// multiple goroutines — cloned solvers (shard workers) share their
+// parent's recorder, interleaving their events on the same
+// conflict-stamped timeline. Reads (Snapshot, Since) are safe
 // concurrently with writes: each slot is a single word, so a dump
 // taken mid-solve sees a consistent recent window, never a torn event.
 type Recorder struct {

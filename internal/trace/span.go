@@ -26,7 +26,7 @@ import (
 )
 
 // Span is one timed region of a request: the whole request, one
-// enumeration round, one cube, one portfolio fork. A span accumulates
+// enumeration round, one cube. A span accumulates
 // named phases (flat timings within the span), counters (e.g. solver
 // Stats deltas captured at round boundaries), and child spans. All
 // methods are safe on a nil receiver — hot paths guard tracing with a
@@ -38,6 +38,7 @@ type Span struct {
 	detail   string
 	start    time.Time
 	end      time.Time
+	mark     time.Time // end of the last Mark (zero: none yet)
 	phases   []phase
 	counters []counter
 	children []*Span
@@ -87,6 +88,27 @@ func (s *Span) Phase(name string, d time.Duration) {
 	}
 	s.phases = append(s.phases, phase{name: name, d: d})
 	s.mu.Unlock()
+}
+
+// Mark records a phase named name covering the time since the previous
+// Mark, or since the span started. Consecutive marks tile the span with
+// no gap between phases. An empty name only advances the mark, for a
+// stretch that a child span already accounts for.
+func (s *Span) Mark(name string) {
+	if s == nil {
+		return
+	}
+	now := time.Now()
+	s.mu.Lock()
+	from := s.mark
+	if from.IsZero() {
+		from = s.start
+	}
+	s.mark = now
+	s.mu.Unlock()
+	if name != "" {
+		s.Phase(name, now.Sub(from))
+	}
 }
 
 // PhaseSince records a phase as the elapsed time since start.

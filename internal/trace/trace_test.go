@@ -14,6 +14,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	}
 	s.Phase("p", time.Millisecond)
 	s.PhaseSince("q", time.Now())
+	s.Mark("m")
 	s.Counter("c", 3)
 	s.SetDetail("d")
 	s.End()
@@ -64,6 +65,28 @@ func TestSpanLifecycle(t *testing.T) {
 	m := root.PhaseDurations()
 	if m["queue"] != 2*time.Millisecond || m["encode"] != 4*time.Millisecond {
 		t.Fatalf("PhaseDurations = %v", m)
+	}
+}
+
+// TestSpanMarksTile: each Mark covers exactly the stretch since the
+// previous one (or the span start), and an empty name skips a stretch
+// without recording a phase.
+func TestSpanMarksTile(t *testing.T) {
+	s := New("request")
+	s.Mark("queue")
+	t1 := s.mark
+	time.Sleep(time.Millisecond)
+	s.Mark("")
+	t2 := s.mark
+	s.Mark("solve")
+	t3 := s.mark
+
+	m := s.PhaseDurations()
+	if len(m) != 2 || m["queue"] != t1.Sub(s.start) || m["solve"] != t3.Sub(t2) {
+		t.Fatalf("phases = %v, want queue %v and solve %v", m, t1.Sub(s.start), t3.Sub(t2))
+	}
+	if t2.Sub(t1) < time.Millisecond {
+		t.Fatalf("skipped stretch %v, want at least 1ms", t2.Sub(t1))
 	}
 }
 
