@@ -55,34 +55,36 @@ func TestEnumModeEquivalenceCore(t *testing.T) {
 	// densely populated decision levels; the small scenarios above never
 	// reach it. The benchmark's Table 2 cell (s1423x, 2 errors, m=16,
 	// seed 7, K=2) does, and must still enumerate the legacy set.
-	golden, err := gen.ByName("s1423x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty, _, err := faults.Inject(golden, faults.Options{Count: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests, err := tgen.Random(golden, faulty, tgen.Options{Count: 16, Seed: 7, MaxPatterns: 1 << 14})
-	if err != nil || len(tests) != 16 {
-		t.Fatalf("s1423x scenario: %d tests, err %v", len(tests), err)
-	}
-	legacy, err := BSAT(faulty, tests, BSATOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := BSAT(faulty, tests, BSATOptions{K: 2, Enum: "projected"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Complete || !proj.Complete || !SameSolutions(&legacy.SolutionSet, &proj.SolutionSet) {
-		t.Fatalf("s1423x: projected %d solutions (complete %v) != legacy %d (complete %v)",
-			len(proj.Solutions), proj.Complete, len(legacy.Solutions), legacy.Complete)
-	}
-	if proj.Stats.ChronoBacktracks == 0 {
-		t.Fatalf("s1423x: projected BSAT made no chronological backtrack (%d solutions)", len(proj.Solutions))
-	}
-	t.Logf("s1423x: %d solutions, %d chronological backtracks", len(proj.Solutions), proj.Stats.ChronoBacktracks)
+	t.Run("chrono-bt", func(t *testing.T) {
+		golden, err := gen.ByName("s1423x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty, _, err := faults.Inject(golden, faults.Options{Count: 2, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tests, err := tgen.Random(golden, faulty, tgen.Options{Count: 16, Seed: 7, MaxPatterns: 1 << 14})
+		if err != nil || len(tests) != 16 {
+			t.Fatalf("s1423x scenario: %d tests, err %v", len(tests), err)
+		}
+		legacy, err := BSAT(faulty, tests, BSATOptions{K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := BSAT(faulty, tests, BSATOptions{K: 2, Enum: "projected"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !legacy.Complete || !proj.Complete || !SameSolutions(&legacy.SolutionSet, &proj.SolutionSet) {
+			t.Fatalf("s1423x: projected %d solutions (complete %v) != legacy %d (complete %v)",
+				len(proj.Solutions), proj.Complete, len(legacy.Solutions), legacy.Complete)
+		}
+		if proj.Stats.ChronoBacktracks == 0 {
+			t.Fatalf("s1423x: projected BSAT made no chronological backtrack (%d solutions)", len(proj.Solutions))
+		}
+		t.Logf("s1423x: %d solutions, %d chronological backtracks", len(proj.Solutions), proj.Stats.ChronoBacktracks)
+	})
 
 	if _, err := BSAT(nil, nil, BSATOptions{K: 1, Enum: "nope"}); err == nil {
 		t.Fatal("unknown enum mode accepted")

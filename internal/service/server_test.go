@@ -370,10 +370,6 @@ func TestServerErrorPaths(t *testing.T) {
 			Engine: "cov", Mode: "warm"}, http.StatusBadRequest},
 		{"bad encoding", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
 			Encoding: "unary"}, http.StatusBadRequest},
-		{"unknown solver", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
-			Solver: "no-such"}, http.StatusBadRequest},
-		{"retired solver", service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests),
-			Solver: "gen2"}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", tc.req)
@@ -385,28 +381,40 @@ func TestServerErrorPaths(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Errorf("unknown session: %d, want 404", code)
 	}
-	// The solver name is validated before the session lookup.
-	for _, solver := range []string{"no-such", "gen2"} {
-		code, _ := post[service.DiagnoseResponse](t, ts.URL+"/sessions/zzz/tests", service.SessionTestsRequest{Solver: solver})
-		if code != http.StatusBadRequest {
-			t.Errorf("incremental solver %q: %d, want 400", solver, code)
-		}
-	}
-	// The server still serves after the error burst, and "" and
-	// "default" name the same search: the solution bytes are identical.
+	// The server still serves after the error burst.
 	resp := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2})
 	if !resp.Complete {
 		t.Fatal("server wedged after error paths")
 	}
-	named := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2, Solver: "default"})
-	if got, want := mustJSON(t, named.Solutions), mustJSON(t, resp.Solutions); got != want {
-		t.Fatalf(`solver "default": %s != solver "": %s`, got, want)
-	}
-	code, inc := post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+resp.Session+"/tests",
-		service.SessionTestsRequest{Solver: "default"})
-	if code != http.StatusOK || mustJSON(t, inc.Solutions) != mustJSON(t, resp.Solutions) {
-		t.Fatalf(`incremental solver "default": %d %v, want 200 %v`, code, inc.Solutions, resp.Solutions)
-	}
+
+	// Any solver name but "" and "default" is a 400 on both endpoints;
+	// on the session-tests endpoint it is checked before the lookup.
+	t.Run("unknown-solver", func(t *testing.T) {
+		for _, solver := range []string{"no-such", "gen2"} {
+			req := service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), Solver: solver}
+			if code, _ := post[service.DiagnoseResponse](t, ts.URL+"/diagnose", req); code != http.StatusBadRequest {
+				t.Errorf("solver %q: %d, want 400", solver, code)
+			}
+			code, _ := post[service.DiagnoseResponse](t, ts.URL+"/sessions/zzz/tests", service.SessionTestsRequest{Solver: solver})
+			if code != http.StatusBadRequest {
+				t.Errorf("incremental solver %q: %d, want 400", solver, code)
+			}
+		}
+	})
+
+	// "" and "default" name the same search: the solution bytes are
+	// identical on the declarative and the incremental endpoint.
+	t.Run("default-solver", func(t *testing.T) {
+		named := diagnose(t, ts.URL, service.DiagnoseRequest{Bench: benchText(t, c), Tests: testJSON(tests), K: 2, Solver: "default"})
+		if got, want := mustJSON(t, named.Solutions), mustJSON(t, resp.Solutions); got != want {
+			t.Fatalf(`solver "default": %s != solver "": %s`, got, want)
+		}
+		code, inc := post[service.DiagnoseResponse](t, ts.URL+"/sessions/"+resp.Session+"/tests",
+			service.SessionTestsRequest{Solver: "default"})
+		if code != http.StatusOK || mustJSON(t, inc.Solutions) != mustJSON(t, resp.Solutions) {
+			t.Fatalf(`incremental solver "default": %d %v, want 200 %v`, code, inc.Solutions, resp.Solutions)
+		}
+	})
 }
 
 // TestServerHandlerGoroutineHygiene is the goleak-style check for the
